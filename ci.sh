@@ -11,6 +11,10 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> naive-check: every CGBA kernel iteration cross-checked against a full rescan"
+cargo test -q -p eotora-game --features naive-check
+cargo test -q -p eotora-tests --features eotora-game/naive-check
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

@@ -27,6 +27,14 @@
 //!   deterministic solo seed at minimum frequencies, at most
 //!   [`RobustConfig::max_retries`] times; exhaustion returns the incumbent.
 //!
+//! Every P2-A step runs the same incremental CGBA kernel as the paper path
+//! ([`eotora_game::cgba_kernel`], with the filter and the deadline as its
+//! hooks) on the [`SlotWorkspace`]'s scratch, and emits the plain path's
+//! `cgba.*` counters. Round 1 of a slot starts the kernel cold, so its work
+//! depends on the slot alone; rounds 2..z chain from the previous round's
+//! converged profile with only the server weights `m_{C_n}` changed, and
+//! take the kernel's warm fast path.
+//!
 //! Unlike the paper path, the robust solve is deterministic given its
 //! inputs (no RNG): the seed profile is the repaired retained profile or
 //! the solo-cheapest profile, never a random one. Determinism is what makes
@@ -37,7 +45,7 @@
 
 use std::time::{Duration, Instant};
 
-use eotora_game::{cgba_from_filtered, CgbaConfig, Profile};
+use eotora_game::{cgba_kernel, CgbaConfig, Profile};
 use eotora_obs::{Recorder, SpanGuard, TraceEvent};
 use eotora_states::SystemState;
 
@@ -68,13 +76,15 @@ pub struct RobustConfig {
     pub max_retries: u32,
     /// CGBA approximation slack λ.
     pub lambda: f64,
-    /// Shard cap for the P2-A step: `0` keeps the sequential
-    /// [`cgba_from_filtered`] solve; any other value routes through
-    /// [`crate::sharded::cgba_sharded_filtered`] with this cap
-    /// (`usize::MAX` ≈ one shard per BS-cluster component). On dense
-    /// topologies the plan collapses to one shard either way, so enabling
-    /// this is always safe; a shard that misses the deadline degrades
-    /// alone while the rest still converge.
+    /// Shard cap for the P2-A step: `0` keeps one sequential
+    /// [`cgba_kernel`] solve on the workspace scratch; any other value
+    /// routes through [`crate::sharded::cgba_sharded_filtered`] with this
+    /// cap (`usize::MAX` ≈ one shard per BS-cluster component), which runs
+    /// the same kernel per shard. On dense topologies the plan collapses to
+    /// one shard either way — then the one kernel run still uses the
+    /// workspace scratch and its warm path — so enabling this is always
+    /// safe; a shard that misses the deadline degrades alone while the
+    /// rest still converge.
     pub shards: usize,
     /// Whether the engine runs the state sanitizer ahead of the solve
     /// (consumed by the simulation runner, not by
@@ -111,9 +121,9 @@ pub struct RobustReport {
 }
 
 /// Solves one slot's P2 under an availability mask with an anytime
-/// deadline. Emits the usual `p2a`/`p2b` spans, `bdma_iteration` events and
-/// BDMA counters, plus the `fault.*` / `deadline.*` counters, into
-/// `recorder`.
+/// deadline. Emits the usual `p2a`/`p2b` spans, `bdma_iteration` events,
+/// BDMA and `cgba.*` counters, plus the `fault.*` / `deadline.*` counters,
+/// into `recorder`.
 ///
 /// # Errors
 ///
@@ -220,20 +230,37 @@ pub fn solve_p2_robust(
             break;
         }
         let p2a_span = SpanGuard::new(recorder, eotora_obs::SPAN_P2A);
+        // Round 1 starts cold, so its work depends on this slot alone. Later
+        // rounds chain from the previous round's converged profile with only
+        // the server weights moved: the kernel's warm fast path.
+        let warm = round > 0;
         let (choices, assignments) = {
-            let problem = workspace.refresh_frequencies(system);
+            let (problem, scratch) = workspace.refresh_frequencies_with_scratch(system);
             let game = problem.game();
             let initial = Profile::from_choices(game, current.clone());
-            let report = if config.shards == 0 {
-                cgba_from_filtered(game, initial, &cgba_config, &effect.filter, expired)
+            let (report, moves, probes) = if config.shards == 0 {
+                let before = scratch.probes();
+                let report = cgba_kernel(
+                    game,
+                    initial,
+                    &cgba_config,
+                    Some(&effect.filter),
+                    warm,
+                    expired,
+                    scratch,
+                );
+                let moves = report.iterations as u64;
+                (report, moves, scratch.probes() - before)
             } else {
-                let out = crate::sharded::cgba_sharded_filtered(
+                let out = crate::sharded::cgba_sharded_filtered_in(
                     game,
                     initial,
                     &cgba_config,
                     &effect.filter,
                     config.shards,
+                    warm,
                     &expired,
+                    scratch,
                 );
                 if recorder.is_enabled() {
                     recorder.add(eotora_obs::COUNTER_SHARD_SOLVES, out.shards_used as u64);
@@ -246,8 +273,18 @@ pub fn solve_p2_robust(
                             .add(eotora_obs::COUNTER_SHARD_RECONCILE_MOVES, out.reconcile_moves);
                     }
                 }
-                out.report
+                // Reconciliation moves have their own counter, as on the
+                // plain sharded path.
+                let moves = out.report.iterations as u64 - out.reconcile_moves;
+                (out.report, moves, out.probes)
             };
+            if recorder.is_enabled() {
+                recorder.add(eotora_obs::COUNTER_CGBA_ITERATIONS, moves);
+                recorder.add(eotora_obs::COUNTER_CGBA_PROBES, probes);
+                if report.converged {
+                    recorder.add(eotora_obs::COUNTER_CGBA_CONVERGED, 1);
+                }
+            }
             let choices = report.profile.choices().to_vec();
             let assignments = problem.assignments_from_choices(&choices);
             (choices, assignments)
@@ -440,7 +477,9 @@ pub fn equal_share_decision(
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
+    use crate::p2a::P2aProblem;
     use crate::system::SystemConfig;
+    use eotora_game::{cgba_from_filtered, StrategyFilter};
     use eotora_obs::{MetricsRecorder, NoopRecorder};
     use eotora_states::{PaperStateConfig, StateProvider};
 
@@ -674,6 +713,93 @@ mod tests {
             .unwrap()
         };
         assert_eq!(run(0), run(usize::MAX));
+    }
+
+    #[test]
+    fn cgba_counters_sum_the_per_round_reports() {
+        // Replays the rounds on the naive filtered oracle: a fresh
+        // workspace, an empty mask and no deadline mean the solo seed at
+        // Ω^L, then each round chained from the last at P2-B's frequencies.
+        let (system, state) = setup(16, 58);
+        let (v, queue) = (100.0, 3.0);
+        let config = RobustConfig { rounds: 4, ..Default::default() };
+        let rec = MetricsRecorder::new();
+        let r = solve_p2_robust(
+            &system,
+            &state,
+            v,
+            queue,
+            &AvailabilityMask::default(),
+            &config,
+            &mut SlotWorkspace::new(),
+            0,
+            &rec,
+        )
+        .unwrap();
+        assert_eq!(r.retries, 0);
+
+        let mut freqs = system.min_frequencies();
+        let mut problem = P2aProblem::build(&system, &state, &freqs);
+        let filter = StrategyFilter::allow_all(problem.game().structure());
+        let mut choices: Vec<usize> = (0..problem.game().num_players())
+            .map(|i| Profile::solo_cheapest_filtered(problem.game(), i, &filter).unwrap())
+            .collect();
+        let mut iterations = 0;
+        for _ in 0..config.rounds {
+            problem.update_frequencies(&system, &freqs);
+            let game = problem.game();
+            let initial = Profile::from_choices(game, choices);
+            let report =
+                cgba_from_filtered(game, initial, &CgbaConfig::default(), &filter, || false);
+            iterations += report.iterations as u64;
+            choices = report.profile.choices().to_vec();
+            let assignments = problem.assignments_from_choices(&choices);
+            freqs = solve_p2b(&system, &state, &assignments, v, queue).freqs_hz;
+        }
+        assert!(iterations > 0);
+        assert_eq!(rec.counter(eotora_obs::COUNTER_CGBA_ITERATIONS), iterations);
+        assert_eq!(rec.counter(eotora_obs::COUNTER_CGBA_CONVERGED), config.rounds as u64);
+        assert!(rec.counter(eotora_obs::COUNTER_CGBA_PROBES) > 0);
+    }
+
+    #[test]
+    fn sharded_robust_solve_counts_the_same_moves_on_islands() {
+        let sys_config = SystemConfig {
+            topology: eotora_topology::RandomTopologyConfig::scale_up(30, 3),
+            ..SystemConfig::paper_defaults(30)
+        };
+        let system = MecSystem::random(&sys_config, 62);
+        let mut p = StateProvider::paper(system.topology(), &PaperStateConfig::default(), 62);
+        let state = p.observe(0, system.topology());
+        let counters = |shards: usize| {
+            let rec = MetricsRecorder::new();
+            solve_p2_robust(
+                &system,
+                &state,
+                100.0,
+                0.0,
+                &AvailabilityMask::default(),
+                &RobustConfig { shards, ..Default::default() },
+                &mut SlotWorkspace::new(),
+                0,
+                &rec,
+            )
+            .unwrap();
+            (
+                rec.counter(eotora_obs::COUNTER_CGBA_ITERATIONS),
+                rec.counter(eotora_obs::COUNTER_CGBA_CONVERGED),
+                rec.counter(eotora_obs::COUNTER_CGBA_PROBES),
+                rec.counter(eotora_obs::COUNTER_SHARD_SOLVES),
+            )
+        };
+        let (moves, converged, probes, solves) = counters(0);
+        let (shard_moves, shard_converged, shard_probes, shard_solves) = counters(usize::MAX);
+        assert!(moves > 0 && probes > 0 && shard_probes > 0);
+        assert_eq!(solves, 0);
+        assert!(shard_solves > RobustConfig::default().rounds as u64, "the plan must cut");
+        // Separable shards make the same moves as the sequential solve.
+        assert_eq!(shard_moves, moves);
+        assert_eq!(shard_converged, converged);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! On topologies whose base stations reach disjoint server clusters (BS
 //! islands), the P2-A congestion game is block-diagonal: a
 //! [`ShardPlan`] splits it into independent subgames, each solved by its
-//! own CGBA run on a dense shard-local game, and the per-shard choices are
-//! merged back in a fixed order. Shards run on a bounded
+//! own run of the incremental CGBA kernel ([`eotora_game::cgba_kernel`]:
+//! cold, warm, or filtered with a deadline on the robust path) on a dense
+//! shard-local game, and the per-shard choices are merged back in a fixed
+//! order. Shards run on a bounded
 //! [`WorkerPool`], so 100k–1M-device slots scale across cores while the
 //! result stays independent of worker count.
 //!
@@ -42,10 +44,12 @@
 
 use std::sync::Mutex;
 
+#[cfg(test)]
+use eotora_game::cgba_from_filtered;
 use eotora_game::{
-    cgba_from_filtered, cgba_from_with_scratch, cgba_warm_from_with_scratch, CgbaConfig,
-    CgbaReport, CgbaScratch, CongestionGame, GameStructure, Profile, ResourceWeights, ShardPlan,
-    SplitGame, StrategyFilter,
+    cgba_from_with_scratch, cgba_kernel, cgba_warm_from_with_scratch, CgbaConfig, CgbaReport,
+    CgbaScratch, CongestionGame, GameStructure, Profile, ResourceWeights, ShardPlan, SplitGame,
+    StrategyFilter,
 };
 use eotora_obs::{NoopRecorder, Recorder};
 use eotora_util::pool::WorkerPool;
@@ -271,8 +275,9 @@ impl P2aSolver for ShardedCgbaSolver {
 /// accounting for the robust ladder's counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedFilteredOutcome {
-    /// The merged profile with global costs — drop-in for the report
-    /// [`cgba_from_filtered`] would have produced.
+    /// The merged profile with global costs — drop-in for the report a
+    /// single filtered [`cgba_kernel`] run would have produced. Its
+    /// `iterations` include the reconciliation moves.
     pub report: CgbaReport,
     /// Shards the plan produced (1 when the cut was not weak).
     pub shards_used: usize,
@@ -283,25 +288,27 @@ pub struct ShardedFilteredOutcome {
     pub degraded_shards: u64,
     /// Global best-response moves the cut-player reconciliation made.
     pub reconcile_moves: u64,
+    /// Cost evaluations of the shard kernels (the `cgba.probes` unit;
+    /// reconciliation scans are not counted, as on the plain path).
+    pub probes: u64,
 }
 
-/// The sharded counterpart of [`cgba_from_filtered`]: split, solve each
-/// shard with the filter projected onto its local view
+/// The sharded counterpart of a filtered [`cgba_kernel`] run: split, solve
+/// each shard on the kernel with the filter projected onto its local view
 /// ([`StrategyFilter::project`]) and the shared `should_stop` deadline,
 /// merge, then reconcile cut players with *filtered* global best responses
 /// (also deadline-polled). Built for the robust path, where plans are not
-/// cached — locals are built per call.
+/// cached — locals and their scratches are built per call.
 ///
 /// On separable games with an all-allowing filter and a never-firing
-/// `should_stop`, the merged choices equal the sequential
-/// [`cgba_from_filtered`] run move for move (same restriction argument as
-/// the module docs). A shard that misses the deadline merges its
-/// best-so-far profile while the others still converge — the failure is
-/// contained to the shard.
+/// `should_stop`, the merged choices equal the sequential filtered run
+/// move for move (same restriction argument as the module docs). A shard
+/// that misses the deadline merges its best-so-far profile while the
+/// others still converge — the failure is contained to the shard.
 ///
 /// # Panics
 ///
-/// Same conditions as [`cgba_from_filtered`].
+/// Same conditions as [`cgba_kernel`].
 pub fn cgba_sharded_filtered(
     game: &CongestionGame,
     initial: Profile,
@@ -310,15 +317,45 @@ pub fn cgba_sharded_filtered(
     max_shards: usize,
     should_stop: &(dyn Fn() -> bool + Sync),
 ) -> ShardedFilteredOutcome {
+    let mut scratch = CgbaScratch::default();
+    cgba_sharded_filtered_in(
+        game,
+        initial,
+        config,
+        filter,
+        max_shards,
+        false,
+        should_stop,
+        &mut scratch,
+    )
+}
+
+/// [`cgba_sharded_filtered`] with a caller-owned scratch for the
+/// single-shard case: when the plan does not cut, the one kernel run uses
+/// `scratch`, warm-started when `warm` is set, exactly like the
+/// sequential robust solve.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn cgba_sharded_filtered_in(
+    game: &CongestionGame,
+    initial: Profile,
+    config: &CgbaConfig,
+    filter: &StrategyFilter,
+    max_shards: usize,
+    warm: bool,
+    should_stop: &(dyn Fn() -> bool + Sync),
+    scratch: &mut CgbaScratch,
+) -> ShardedFilteredOutcome {
     let plan = ShardPlan::compute(game.structure(), max_shards);
     if plan.is_trivial() {
-        let report = cgba_from_filtered(game, initial, config, filter, should_stop);
+        let before = scratch.probes();
+        let report = cgba_kernel(game, initial, config, Some(filter), warm, should_stop, scratch);
         let degraded_shards = u64::from(!report.converged);
         return ShardedFilteredOutcome {
             report,
             shards_used: 1,
             degraded_shards,
             reconcile_moves: 0,
+            probes: scratch.probes() - before,
         };
     }
 
@@ -332,11 +369,20 @@ pub fn cgba_sharded_filtered(
         let local_game = SplitGame { structure: &local_structure, weights: &local_weights };
         let local_filter = filter.project(spec, &local_structure);
         let init = Profile::from_choices(&local_game, locals[s].clone());
-        let report = cgba_from_filtered(&local_game, init, config, &local_filter, should_stop);
+        let mut local_scratch = CgbaScratch::default();
+        let report = cgba_kernel(
+            &local_game,
+            init,
+            config,
+            Some(&local_filter),
+            false,
+            should_stop,
+            &mut local_scratch,
+        );
         ShardRun {
             choices: report.profile.choices().to_vec(),
             iterations: report.iterations,
-            probes: 0,
+            probes: local_scratch.probes(),
             converged: report.converged,
         }
     });
@@ -345,6 +391,7 @@ pub fn cgba_sharded_filtered(
     let choice_vecs: Vec<Vec<usize>> = runs.iter().map(|r| r.choices.clone()).collect();
     plan.merge_choices(&choice_vecs, &mut merged);
     let mut iterations: usize = runs.iter().map(|r| r.iterations).sum();
+    let probes = runs.iter().map(|r| r.probes).sum();
     let converged = runs.iter().all(|r| r.converged);
     let degraded_shards = runs.iter().filter(|r| !r.converged).count() as u64;
 
@@ -379,6 +426,7 @@ pub fn cgba_sharded_filtered(
         shards_used: plan.num_shards(),
         degraded_shards,
         reconcile_moves,
+        probes,
     }
 }
 

@@ -15,6 +15,7 @@
 //! a different topology shape triggers a fresh build
 //! ([`P2aProblem::matches_system`]).
 
+use eotora_game::CgbaScratch;
 use eotora_states::SystemState;
 
 use crate::checkpoint::WorkspaceSnapshot;
@@ -39,6 +40,10 @@ pub struct SlotWorkspace {
     /// signal that the retained basin is going stale, so the next slot
     /// should probe even if its baseline probe rate would skip it.
     probe_hot: bool,
+    /// CGBA kernel state of the robust solve ([`crate::robust`]), whose
+    /// chained BDMA rounds warm-start from each other on it. A pure cache:
+    /// excluded from snapshots, like the problem.
+    cgba: CgbaScratch,
 }
 
 impl SlotWorkspace {
@@ -75,9 +80,22 @@ impl SlotWorkspace {
     ///
     /// Panics if the workspace has no prepared problem.
     pub fn refresh_frequencies(&mut self, system: &MecSystem) -> &P2aProblem {
+        self.refresh_frequencies_with_scratch(system).0
+    }
+
+    /// [`SlotWorkspace::refresh_frequencies`], also lending out the
+    /// workspace-owned CGBA scratch the robust solve runs on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workspace has no prepared problem.
+    pub fn refresh_frequencies_with_scratch(
+        &mut self,
+        system: &MecSystem,
+    ) -> (&P2aProblem, &mut CgbaScratch) {
         let problem = self.problem.as_mut().expect("prepare before refresh_frequencies");
         problem.update_frequencies(system, &self.freqs);
-        problem
+        (problem, &mut self.cgba)
     }
 
     /// Copies `freqs_hz` into the retained working buffer (no allocation in

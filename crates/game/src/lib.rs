@@ -60,10 +60,12 @@ mod mask;
 mod profile;
 mod shard;
 
+#[cfg(any(test, feature = "reference-oracle"))]
+pub use cgba::cgba_from_filtered;
 pub use cgba::{
-    brute_force_optimum, cgba, cgba_from, cgba_from_filtered, cgba_from_reference,
-    cgba_from_with_scratch, cgba_reference, cgba_warm_from_with_scratch,
-    empirical_price_of_anarchy, CgbaConfig, CgbaReport, CgbaScratch, SchedulingRule,
+    brute_force_optimum, cgba, cgba_from, cgba_from_reference, cgba_from_with_scratch, cgba_kernel,
+    cgba_reference, cgba_warm_from_with_scratch, empirical_price_of_anarchy, CgbaConfig,
+    CgbaReport, CgbaScratch, SchedulingRule,
 };
 pub use mask::StrategyFilter;
 pub use profile::Profile;
@@ -214,12 +216,14 @@ impl GameStructure {
     ///
     /// Returns the first [`GameError`] found.
     pub fn validate(&self) -> Result<(), GameError> {
+        // One buffer for the whole check: each strategy unmarks its
+        // resources once it passes.
+        let mut seen = vec![false; self.num_resources];
         for (i, strategies) in self.players.iter().enumerate() {
             if strategies.is_empty() {
                 return Err(GameError::NoStrategies { player: i });
             }
             for s in strategies {
-                let mut seen = vec![false; self.num_resources];
                 for &(r, w) in s {
                     if r >= self.num_resources {
                         return Err(GameError::DanglingResource { player: i, resource: r });
@@ -233,6 +237,9 @@ impl GameStructure {
                             context: format!("player {i} resource {r} weight {w}"),
                         });
                     }
+                }
+                for &(r, _) in s {
+                    seen[r] = false;
                 }
             }
         }

@@ -73,6 +73,12 @@ impl StrategyFilter {
         self.allowed[self.offsets[i] + s]
     }
 
+    /// The allow marks flat in `(player, strategy)` order — the layout of
+    /// the CGBA kernel's entry arena for the same structure.
+    pub(crate) fn allowed_flat(&self) -> &[bool] {
+        &self.allowed
+    }
+
     /// Whether the filter disallows nothing (the fast-path check: an
     /// all-allowed filter must not change any solver's behavior).
     pub fn all_allowed(&self) -> bool {
