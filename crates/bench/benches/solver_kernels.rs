@@ -1,13 +1,14 @@
 //! Microbenchmarks of the numerical kernels substituting CVX/Gurobi:
 //! scalar minimizers (bisection vs golden section vs Brent vs the Cardano
-//! closed form) on the exact P2-B per-server objective, and one full P2-B
-//! fleet solve.
+//! closed form) on the exact P2-B per-server objective, one full P2-B
+//! fleet solve, and one cold CGBA solve of the paper's P2-A game.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use eotora_core::bdma::{CgbaSolver, P2aSolver};
 use eotora_core::p2a::P2aProblem;
 use eotora_core::p2b::solve_p2b;
 use eotora_core::system::{MecSystem, SystemConfig};
+use eotora_game::{cgba_from_with_scratch, CgbaConfig, CgbaScratch, Profile};
 use eotora_optim::cubic::root_in_interval;
 use eotora_optim::scalar::{minimize_bisection, minimize_brent, minimize_golden};
 use eotora_states::{PaperStateConfig, StateProvider};
@@ -58,6 +59,20 @@ fn bench(c: &mut Criterion) {
 
     c.bench_function("p2b_full_fleet", |b| {
         b.iter(|| std::hint::black_box(solve_p2b(&system, &state, &assignments, 100.0, 40.0)))
+    });
+
+    // One cold CGBA solve (one paper Alg. 2 restart) on the same game, on a
+    // reused scratch as the engine runs it: the P2-A kernel's wall time
+    // without the daemon around it.
+    let initial = Profile::random(p2a.game(), &mut Pcg32::seed(5));
+    let config = CgbaConfig::default();
+    let mut scratch = CgbaScratch::default();
+    c.bench_function("cgba_cold_paper_i100", |b| {
+        b.iter_batched(
+            || initial.clone(),
+            |seed| cgba_from_with_scratch(p2a.game(), seed, &config, &mut scratch),
+            BatchSize::SmallInput,
+        )
     });
 }
 

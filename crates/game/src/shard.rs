@@ -6,7 +6,7 @@
 //! whose base stations reach disjoint server clusters this makes the P2-A
 //! game block-diagonal: each block can be solved by an independent CGBA run
 //! and the results merged. [`ShardPlan`] computes the blocks with a
-//! union-find pass over the `touching` index, remaps each block into a
+//! union-find pass over each strategy's resources, remaps each block into a
 //! dense, cache-linear local [`GameStructure`]/[`ResourceWeights`] pair
 //! (resources renumbered `0..`, players in ascending global order so the
 //! MaxGain tie-break is preserved), and provides the choice split/merge

@@ -45,8 +45,9 @@ pub const COUNTER_CGBA_ITERATIONS: &str = "cgba_iterations";
 /// Counter name for CGBA solves that converged to a Nash equilibrium
 /// within the iteration cap.
 pub const COUNTER_CGBA_CONVERGED: &str = "cgba_converged";
-/// Counter name for strategy-cost probes evaluated inside CGBA
-/// best-response scans (the game hot path's unit of work).
+/// Counter name for cost evaluations inside CGBA (the game hot path's
+/// unit of work): one per strategy cost evaluated in a best-response scan
+/// and one per player's current cost.
 pub const COUNTER_CGBA_PROBES: &str = "cgba.probes";
 /// Counter name for best-response moves made by warm-seeded CGBA solves.
 pub const COUNTER_CGBA_WARM_MOVES: &str = "cgba.warm.moves_to_converge";
@@ -284,7 +285,7 @@ pub const ALL: &[MetricDef] = &[
     def(COUNTER_BDMA_ROUNDS_SAVED, MetricKind::Counter, "BDMA rounds skipped by early termination"),
     def(COUNTER_CGBA_ITERATIONS, MetricKind::Counter, "CGBA best-response iterations executed"),
     def(COUNTER_CGBA_CONVERGED, MetricKind::Counter, "CGBA solves that reached a Nash equilibrium"),
-    def(COUNTER_CGBA_PROBES, MetricKind::Counter, "strategy-cost probes evaluated in CGBA scans"),
+    def(COUNTER_CGBA_PROBES, MetricKind::Counter, "strategy costs evaluated in CGBA scans"),
     def(
         COUNTER_CGBA_WARM_MOVES,
         MetricKind::Counter,

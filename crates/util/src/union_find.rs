@@ -1,11 +1,11 @@
 //! A plain disjoint-set forest (union by size, path halving).
 //!
 //! Shared by the topology layer (base-station/server infrastructure
-//! components) and the game layer (resource components over the strategy
-//! `touching` index). Deterministic: component representatives depend only
-//! on the sequence of `union` calls, never on hashing or allocation order,
-//! and [`UnionFind::component_ids`] numbers components by their smallest
-//! member so downstream shard ordering is reproducible.
+//! components) and the game layer (resource components joined by the
+//! players' strategies). Deterministic: component representatives depend
+//! only on the sequence of `union` calls, never on hashing or allocation
+//! order, and [`UnionFind::component_ids`] numbers components by their
+//! smallest member so downstream shard ordering is reproducible.
 
 /// Disjoint-set forest over `0..len`.
 #[derive(Debug, Clone)]
