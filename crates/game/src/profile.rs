@@ -121,8 +121,8 @@ impl Profile {
     /// The cost player `i` would pay for strategy `s` against the rest of
     /// the profile — the single-entry building block of
     /// [`Profile::best_response`]. The incremental CGBA scheduler sums the
-    /// same addends in the same order from its term cache when refreshing
-    /// dirty entries, so cached and freshly scanned values are
+    /// same addends in the same order from its term cache whenever it
+    /// evaluates a strategy, so cached and freshly scanned values are
     /// bit-identical.
     pub(crate) fn strategy_cost<G: GameRef>(&self, game: &G, i: usize, s: usize) -> f64 {
         let structure = game.structure();
