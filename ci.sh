@@ -14,6 +14,9 @@ cargo test -q
 echo "==> naive-check: every CGBA kernel iteration cross-checked against a full rescan"
 cargo test -q -p eotora-game --features naive-check
 cargo test -q -p eotora-tests --features eotora-game/naive-check
+# Release mode too: optimized float code must keep every kernel float
+# bit-identical to the rescan, and the release-only tests run here.
+cargo test --release -q -p eotora-game --features naive-check
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check

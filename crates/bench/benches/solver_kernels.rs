@@ -1,14 +1,15 @@
 //! Microbenchmarks of the numerical kernels substituting CVX/Gurobi:
 //! scalar minimizers (bisection vs golden section vs Brent vs the Cardano
 //! closed form) on the exact P2-B per-server objective, one full P2-B
-//! fleet solve, and one cold CGBA solve of the paper's P2-A game.
+//! fleet solve, and one cold and one warm CGBA solve of the paper's P2-A
+//! game.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use eotora_core::bdma::{CgbaSolver, P2aSolver};
 use eotora_core::p2a::P2aProblem;
 use eotora_core::p2b::solve_p2b;
 use eotora_core::system::{MecSystem, SystemConfig};
-use eotora_game::{cgba_from_with_scratch, CgbaConfig, CgbaScratch, Profile};
+use eotora_game::{cgba_from_with_scratch, cgba_kernel, CgbaConfig, CgbaScratch, Profile};
 use eotora_optim::cubic::root_in_interval;
 use eotora_optim::scalar::{minimize_bisection, minimize_brent, minimize_golden};
 use eotora_states::{PaperStateConfig, StateProvider};
@@ -71,6 +72,23 @@ fn bench(c: &mut Criterion) {
         b.iter_batched(
             || initial.clone(),
             |seed| cgba_from_with_scratch(p2a.game(), seed, &config, &mut scratch),
+            BatchSize::SmallInput,
+        )
+    });
+
+    // One warm kernel round as robust BDMA rounds 2..z run it: converge,
+    // change only the server weights, then re-solve warm from the converged
+    // profile. Each iteration starts from a clone of the snapshotted
+    // scratch, so every one does the same work.
+    let mut p2a = p2a;
+    let converged = cgba_kernel(p2a.game(), initial, &config, None, false, || false, &mut scratch);
+    p2a.update_frequencies(&system, &system.max_frequencies());
+    c.bench_function("cgba_warm_round_paper_i100", |b| {
+        b.iter_batched(
+            || (scratch.clone(), converged.profile.clone()),
+            |(mut warm, seed)| {
+                cgba_kernel(p2a.game(), seed, &config, None, true, || false, &mut warm)
+            },
             BatchSize::SmallInput,
         )
     });

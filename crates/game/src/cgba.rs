@@ -4,16 +4,19 @@
 //! The naive MaxGain loop rescans every `(player, strategy)` cost each
 //! iteration — O(I·S) work per move. [`CgbaScratch`] instead keeps every
 //! cost *term* `m_r·p_{i,r}·(p_r − own_i(r) + p_{i,r})` current, one per
-//! (player, resource, weight) key, and caches best responses over *groups*
-//! of strategies. A move changes only the loads of the mover's old and new
-//! resources, so it recomputes the terms on those resources whose load
-//! changed bit pattern (plus the mover's own terms, whose `own` share
-//! moved), each once, and dirties only the groups that read a term whose
-//! value changed.
+//! (player, resource, weight) key, and refreshes only the best responses of
+//! players whose terms changed.
+//!
+//! **The term table.** Terms live in flat arrays (weight, own share, value,
+//! owner, head slot) ordered by resource, so refreshing a resource is one
+//! contiguous sweep of `m_r·w·(L_r − own + w)` — the addend
+//! [`Profile::strategy_cost`] adds, by the same expression. A move changes
+//! only the loads of the mover's old and new resources: each such resource
+//! whose load changed bit pattern is swept whole, and on the others only
+//! the mover's own terms (whose `own` share moved) are recomputed.
 //!
 //! **Groups and head sets.** A strategy's cost is `((0 + t₀) + t₁) + …`
-//! over its terms in strategy order, the additions
-//! [`Profile::strategy_cost`] makes. A *group* is a run of one player's
+//! over its terms in strategy order. A *group* is a run of one player's
 //! consecutive strategies whose terms agree at every position but the
 //! first, the *head*; in the P2-A game one base station's servers form a
 //! group, sharing the station's access and fronthaul terms. A *head set*
@@ -22,21 +25,32 @@
 //! `h₁`, the first position holding it, and its second-smallest distinct
 //! head `h₂`.
 //!
-//! **Why the result is bit-identical.** Rounded float addition is monotone
-//! (`a ≤ b ⇒ a ⊕ c ≤ b ⊕ c`), so within a group the cost is a
-//! non-decreasing function `f` of the head, and the group minimum is
-//! `f(h₁)`. Every head other than `h₁` is at least `h₂`, so when
-//! `f(h₂) > f(h₁)` only the positions holding `h₁` attain the minimum and
-//! the strict-`<` rescan picks the first of them; the group takes it
-//! without evaluating the rest. When rounding ties `f(h₂)` to `f(h₁)` the
-//! group rescans its members in order, as does any group the filter partly
-//! disallows. NaN heads compare false and are never picked, in either
-//! form. The player's best response is the first group, in strategy order,
-//! with the smallest cost — the rescan's pick again. Hence movers, costs and
-//! every float match [`cgba_from_reference`] exactly (asserted
-//! per-iteration under `cfg(test)` or the `naive-check` feature, and
-//! property-tested in `tests/incremental.rs`,
-//! `tests/filtered_incremental.rs` and `tests/grouped_ties.rs`).
+//! **Per-player refresh.** A term whose value changes bit pattern marks
+//! its owner dirty; a dirty player refolds every group from the head-set
+//! caches. A group costs `f(h₁)`, where `f` folds the shared suffix onto a
+//! head. Rounded float addition is monotone (`a ≤ b ⇒ a ⊕ c ≤ b ⊕ c`), so
+//! every head other than `h₁` costs at least `f(h₂)`: when `f(h₂) > f(h₁)`
+//! only the positions holding `h₁` attain the minimum and the strict-`<`
+//! rescan picks the first of them. When rounding ties `f(h₂)` to `f(h₁)`
+//! the group rescans its members in order, as does any group the filter
+//! partly disallows. The player's best response is the first group, in
+//! strategy order, with the smallest cost — the rescan's pick again.
+//!
+//! **Head-set updates.** A changed head term that held neither `h₁` nor
+//! `h₂` (`old > h₂`, so not NaN either) updates the cache in place:
+//! `new < h₁` makes it the minimum at its position `k` with the old `h₁`
+//! second; `new == h₁` moves the first position to `min(pos, k)`;
+//! `h₁ < new < h₂` makes it the second head; anything else, NaN included,
+//! leaves the cache as it was. Every other change marks the head set for
+//! an in-order rescan. Both forms agree on every float the kernel reads:
+//! `==` ties `+0.0` with `−0.0`, so a cached zero minimum may carry the
+//! other sign than a rescan would give, but `0 + h` erases the sign of a
+//! zero head before any suffix is added; and a NaN head compares false,
+//! so neither form ever picks it. Hence movers, costs and every float
+//! match [`cgba_from_reference`] exactly (asserted per-iteration under
+//! `cfg(test)` or the `naive-check` feature, and property-tested in
+//! `tests/incremental.rs`, `tests/filtered_incremental.rs` and
+//! `tests/grouped_ties.rs`).
 //!
 //! [`cgba_kernel`] is the one MaxGain loop every solve path runs: plain
 //! cold restarts ([`cgba_from_with_scratch`]), warm starts
@@ -44,6 +58,8 @@
 //! a [`StrategyFilter`] and an anytime `should_stop` predicate.
 //! [`cgba_from_reference`] keeps the pre-refactor rescan loop verbatim as
 //! the equivalence oracle and benchmark baseline.
+
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -100,8 +116,11 @@ pub struct CgbaReport {
     pub converged: bool,
 }
 
-/// Marks "no head set": a group of one empty strategy, which has no head.
+/// Marks "no head set": a group of one empty strategy, which has no head,
+/// and a term that heads no group.
 const NO_HEAD: u32 = u32::MAX;
+/// Marks a term that heads more than one head-set position.
+const MANY_HEADS: u32 = u32::MAX - 1;
 
 /// A compressed sparse row index: `items[start[k]..start[k + 1]]` are the
 /// items of key `k`.
@@ -135,25 +154,17 @@ impl Csr {
         self.start[0] = 0;
     }
 
+    fn range(&self, k: usize) -> Range<usize> {
+        self.start[k] as usize..self.start[k + 1] as usize
+    }
+
     fn get(&self, k: usize) -> &[u32] {
-        &self.items[self.start[k] as usize..self.start[k + 1] as usize]
+        &self.items[self.range(k)]
     }
 }
 
-/// A shared cost term: one per (player, resource, weight bits) key.
-#[derive(Debug, Clone, Copy)]
-struct Term {
-    player: u32,
-    resource: u32,
-    /// The weight `p_{i,r}`.
-    weight: f64,
-    /// The player's own share `own_i(r)` of the resource: the weight its
-    /// current strategy puts there, or 0.
-    own: f64,
-}
-
 /// A run of one player's consecutive strategies whose terms agree at every
-/// position but the first, with its cached best response.
+/// position but the first.
 #[derive(Debug, Clone, Copy)]
 struct Group {
     /// The group's entries.
@@ -163,14 +174,6 @@ struct Group {
     suffix: (u32, u32),
     /// The group's head set, or [`NO_HEAD`].
     head: u32,
-    /// Cached best allowed strategy (an index among the player's
-    /// strategies) and its cost, `∞` when no allowed strategy costs less.
-    best: u32,
-    cost: f64,
-    /// Whether the cached best came from the head set's cache alone, so
-    /// it stays valid while that cache does.
-    fast: bool,
-    dirty: bool,
 }
 
 /// Cached per head set: the minimum head value, the first position holding
@@ -183,43 +186,48 @@ struct HeadSet {
     dirty: bool,
 }
 
-/// The grouped layout of one game structure: the shared cost terms, the
-/// strategy groups and head sets the best responses are cached over (see
-/// the module docs), and the indices a changed term dirties them through.
+/// The data-oriented layout of one game structure: the term table, the
+/// strategy groups and the head sets (see the module docs).
 ///
-/// Term values are kept current eagerly — every term on a resource whose
-/// load or weight changed bit pattern is recomputed once — while group and
-/// head-set caches are refreshed lazily behind dirty flags. The term keys
-/// double as the warm snapshot of every strategy weight.
+/// Term values are kept current eagerly; head-set caches are refreshed
+/// lazily behind dirty flags. The term weights double as the warm snapshot
+/// of every strategy weight.
 #[derive(Debug, Clone, Default)]
 struct Layout {
+    /// `by_resource.range(r)` are the terms on resource `r`, ordered by
+    /// owner; its items map each term to its build-order key (build time
+    /// only).
+    by_resource: Csr,
+    /// Per term, in resource order: the weight `p_{i,r}`, the owner's share
+    /// `own_i(r)` of the resource (the weight its current strategy puts
+    /// there, or 0), the value `m_r·p_{i,r}·(p_r − own_i(r) + p_{i,r})` at
+    /// the current profile, the owner and the head slot: the head set and
+    /// position the term heads, with the set [`NO_HEAD`] for a term that
+    /// heads nothing and [`MANY_HEADS`] for one that heads several
+    /// positions, whose change dirties every head set of its owner.
+    weight: Vec<f64>,
+    own: Vec<f64>,
+    value: Vec<f64>,
+    player: Vec<u32>,
+    head_slot: Vec<(u32, u32)>,
     /// `entry_pos[e]..entry_pos[e + 1]` are entry `e`'s positions — one per
     /// resource of its strategy, in strategy order.
     entry_pos: Vec<u32>,
     /// The term each position reads.
     pos_term: Vec<u32>,
-    terms: Vec<Term>,
-    /// Each term's value `m_r·p_{i,r}·(p_r − own_i(r) + p_{i,r})` at the
-    /// current profile.
-    value: Vec<f64>,
-    /// `player_terms[i]..player_terms[i + 1]` are player `i`'s terms.
-    player_terms: Vec<u32>,
     /// `player_groups[i]..player_groups[i + 1]` are player `i`'s groups.
     player_groups: Vec<u32>,
     groups: Vec<Group>,
     heads: Vec<HeadSet>,
     /// Each head set's head terms, in strategy order within a group.
     head_terms: Csr,
-    /// Each head set's groups.
-    head_groups: Csr,
-    /// The terms on each resource.
-    resource_terms: Csr,
-    /// The head sets each term heads.
-    term_heads: Csr,
-    /// The groups whose suffix reads each term.
-    term_groups: Csr,
-    /// Build-time helpers: the last `(player, term)` created per resource,
-    /// and the last head set created per first head term.
+    /// Whether the structure the layout was built from passed validation.
+    validated: bool,
+    /// Build-time helpers: the terms' `(player, resource, weight)` keys in
+    /// build order, each key's term, the last `(player, key)` created per
+    /// resource, and the last head set created per first head key.
+    keys: Vec<(u32, u32, f64)>,
+    rank: Vec<u32>,
     last: Vec<(u32, u32)>,
     head_by_first: Vec<u32>,
 }
@@ -230,17 +238,16 @@ fn index(x: usize) -> u32 {
 }
 
 impl Layout {
-    /// Derives the terms, groups, head sets and indices from `structure`'s
-    /// current weights and marks every cache dirty. Term values are left
-    /// for [`Layout::refresh_all`].
+    /// Derives the term table, groups and head sets from `structure`'s
+    /// current weights, unvalidated, with every head set dirty. Own shares
+    /// and values are left for [`CgbaScratch::reset`].
     fn build(&mut self, structure: &GameStructure) {
         let n = structure.num_players();
         let num_resources = structure.num_resources();
         self.entry_pos.clear();
         self.entry_pos.push(0);
         self.pos_term.clear();
-        self.terms.clear();
-        self.player_terms.clear();
+        self.keys.clear();
         self.player_groups.clear();
         self.groups.clear();
         self.last.clear();
@@ -248,27 +255,23 @@ impl Layout {
         let mut entry = 0;
         for i in 0..n {
             let player = index(i);
-            self.player_terms.push(index(self.terms.len()));
             self.player_groups.push(index(self.groups.len()));
             for (s, strategy) in structure.strategies(i).iter().enumerate() {
                 let first = self.pos_term.len();
                 for &(r, w) in strategy {
-                    let (owner, t) = self.last[r];
+                    let (owner, k) = self.last[r];
                     // Equal weights on one resource share a term. Only the
                     // player's latest term on `r` is checked, which finds
                     // every share in the P2-A layout; a miss only costs a
                     // duplicate term, never a wrong value.
-                    let t = if owner == player
-                        && self.terms[t as usize].weight.to_bits() == w.to_bits()
-                    {
-                        t
+                    let k = if owner == player && self.keys[k as usize].2.to_bits() == w.to_bits() {
+                        k
                     } else {
-                        let t = index(self.terms.len());
-                        self.terms.push(Term { player, resource: index(r), weight: w, own: 0.0 });
-                        self.last[r] = (player, t);
-                        t
+                        self.keys.push((player, index(r), w));
+                        self.last[r] = (player, index(self.keys.len() - 1));
+                        index(self.keys.len() - 1)
                     };
-                    self.pos_term.push(t);
+                    self.pos_term.push(k);
                 }
                 self.entry_pos.push(index(self.pos_term.len()));
                 // A non-empty strategy joins the open group when its terms
@@ -291,17 +294,12 @@ impl Layout {
                         end: index(entry + 1),
                         suffix: (index(suffix.start), index(suffix.end)),
                         head: NO_HEAD,
-                        best: 0,
-                        cost: 0.0,
-                        fast: false,
-                        dirty: true,
                     }),
                 }
                 entry += 1;
             }
         }
-        let terms = self.terms.len();
-        self.player_terms.push(index(terms));
+        let terms = self.keys.len();
         self.player_groups.push(index(self.groups.len()));
 
         // Head sets: groups of one player with identical head sequences.
@@ -338,99 +336,74 @@ impl Layout {
         self.heads.clear();
         self.heads.resize(heads, HeadSet { min: 0.0, second: 0.0, pos: 0, dirty: true });
 
-        self.resource_terms.build(num_resources, || {
-            self.terms.iter().enumerate().map(|(t, term)| (term.resource, index(t)))
+        // Order the terms by resource (stably, so by owner within one) and
+        // renumber every reference to them.
+        self.by_resource.build(num_resources, || {
+            self.keys.iter().enumerate().map(|(k, &(_, r, _))| (r, index(k)))
         });
-        self.term_heads.build(terms, || {
-            (0..heads).flat_map(|h| self.head_terms.get(h).iter().map(move |&t| (t, index(h))))
-        });
-        self.term_groups.build(terms, || {
-            self.groups.iter().enumerate().flat_map(|(g, group)| {
-                let suffix = &self.pos_term[group.suffix.0 as usize..group.suffix.1 as usize];
-                suffix.iter().map(move |&t| (t, index(g)))
-            })
-        });
-        self.head_groups.build(heads, || {
-            self.groups
-                .iter()
-                .enumerate()
-                .filter(|(_, group)| group.head != NO_HEAD)
-                .map(|(g, group)| (group.head, index(g)))
-        });
-        self.value.clear();
-        self.value.resize(terms, 0.0);
-    }
-
-    /// Marks every group and head-set cache dirty.
-    fn dirty_all(&mut self) {
-        for group in &mut self.groups {
-            group.dirty = true;
+        self.rank.clear();
+        self.rank.resize(terms, 0);
+        self.weight.clear();
+        self.player.clear();
+        for (t, &k) in self.by_resource.items.iter().enumerate() {
+            let (player, _, w) = self.keys[k as usize];
+            self.rank[k as usize] = index(t);
+            self.weight.push(w);
+            self.player.push(player);
         }
-        for head in &mut self.heads {
-            head.dirty = true;
+        for t in self.pos_term.iter_mut().chain(&mut self.head_terms.items) {
+            *t = self.rank[*t as usize];
         }
-    }
-
-    /// Re-reads player `i`'s own share of every resource its terms are on
-    /// from its current strategy.
-    fn refresh_own<G: GameRef>(&mut self, game: &G, profile: &Profile, i: usize) {
-        let current = &game.structure().strategies(i)[profile.choices[i]];
-        for term in
-            &mut self.terms[self.player_terms[i] as usize..self.player_terms[i + 1] as usize]
-        {
-            let r = term.resource as usize;
-            term.own = current.iter().find(|&&(cr, _)| cr == r).map(|&(_, cw)| cw).unwrap_or(0.0);
-        }
-    }
-
-    /// Recomputes term `t` at `profile` — the addend
-    /// [`Profile::strategy_cost`] adds for it, by the same expression.
-    /// Returns the previous value when the value changed bit pattern.
-    fn refresh_term<G: GameRef>(&mut self, game: &G, profile: &Profile, t: usize) -> Option<f64> {
-        let Term { resource, weight: w, own, .. } = self.terms[t];
-        let r = resource as usize;
-        let value = game.weights().get(r) * w * (profile.loads[r] - own + w);
-        let old = std::mem::replace(&mut self.value[t], value);
-        (value.to_bits() != old.to_bits()).then_some(old)
-    }
-
-    /// Computes every own share and term value at `profile`.
-    fn refresh_all<G: GameRef>(&mut self, game: &G, profile: &Profile) {
-        for i in 0..self.player_terms.len() - 1 {
-            self.refresh_own(game, profile, i);
-        }
-        for t in 0..self.terms.len() {
-            self.refresh_term(game, profile, t);
-        }
-    }
-
-    /// Dirties what reads term `t` after its value changed from `old`;
-    /// returns whether any group was dirtied.
-    ///
-    /// A head set's cache survives a head moving from above its second
-    /// head to above it again; then only the groups that did not take
-    /// their best from that cache (rounding ties, filtered groups) are
-    /// dirtied.
-    fn mark(&mut self, t: usize, old: f64) -> bool {
-        let new = self.value[t];
-        let mut dirtied = false;
-        for &h in self.term_heads.get(t) {
-            let head = &mut self.heads[h as usize];
-            let cached = !head.dirty && old > head.second && new > head.second;
-            head.dirty = !cached;
-            for &g in self.head_groups.get(h as usize) {
-                let group = &mut self.groups[g as usize];
-                if !(cached && group.fast) {
-                    group.dirty = true;
-                    dirtied = true;
-                }
+        self.head_slot.clear();
+        self.head_slot.resize(terms, (NO_HEAD, 0));
+        for h in 0..heads {
+            for (k, &t) in self.head_terms.get(h).iter().enumerate() {
+                let slot = &mut self.head_slot[t as usize];
+                *slot = if slot.0 == NO_HEAD { (index(h), index(k)) } else { (MANY_HEADS, 0) };
             }
         }
-        for &g in self.term_groups.get(t) {
-            self.groups[g as usize].dirty = true;
-            dirtied = true;
+        self.own.resize(terms, 0.0);
+        self.value.resize(terms, 0.0);
+        self.validated = false;
+    }
+
+    /// Player `i`'s terms on resource `r`.
+    fn player_run(&self, r: usize, i: usize) -> Range<usize> {
+        let run = self.by_resource.range(r);
+        let owners = &self.player[run.clone()];
+        let lo = owners.partition_point(|&p| (p as usize) < i);
+        let len = owners[lo..].partition_point(|&p| p as usize == i);
+        run.start + lo..run.start + lo + len
+    }
+
+    /// Keeps term `t`'s head set current after the term's value changed
+    /// from `old` to `new` (the rules in the module docs).
+    fn update_head(&mut self, t: usize, old: f64, new: f64) {
+        let (set, pos) = self.head_slot[t];
+        if set == MANY_HEADS {
+            let i = self.player[t] as usize;
+            for g in self.player_groups[i] as usize..self.player_groups[i + 1] as usize {
+                if let Some(head) = self.heads.get_mut(self.groups[g].head as usize) {
+                    head.dirty = true;
+                }
+            }
+            return;
         }
-        dirtied
+        match self.heads.get_mut(set as usize) {
+            // A term above the second head held neither cached value, so a
+            // clean cache can absorb its new value; otherwise rescan.
+            Some(head) if !head.dirty && old > head.second => {
+                if new < head.min {
+                    *head = HeadSet { min: new, second: head.min, pos, dirty: false };
+                } else if new == head.min {
+                    head.pos = head.pos.min(pos);
+                } else if new < head.second {
+                    head.second = new;
+                }
+            }
+            Some(head) => head.dirty = true,
+            None => {} // NO_HEAD
+        }
     }
 
     /// Re-derives head set `h`'s minimum, its first position and the
@@ -464,10 +437,11 @@ impl Layout {
         self.pos_term[positions].iter().fold(0.0, |cost, &t| cost + self.value[t as usize])
     }
 
-    /// Re-derives group `g`'s best allowed strategy (an index among its
-    /// player's strategies, whose entries start at `offset`) and its cost;
-    /// returns the number of strategy costs evaluated.
-    fn refresh_group(&mut self, g: usize, offset: usize, allowed: &[bool]) -> u64 {
+    /// Group `g`'s best allowed strategy (an index among its player's
+    /// strategies, whose entries start at `offset`), its cost (`∞` when no
+    /// allowed strategy costs less) and the number of strategy costs
+    /// evaluated.
+    fn group_best(&mut self, g: usize, offset: usize, allowed: &[bool]) -> (usize, f64, u64) {
         let group = self.groups[g];
         let entries = group.first as usize..group.end as usize;
         let unfiltered = allowed.is_empty() || allowed[entries.clone()].iter().all(|&a| a);
@@ -493,9 +467,7 @@ impl Layout {
                 self.fold(&group, head.second) > cost
             };
             if tie_free {
-                let best = index(entries.start + head.pos as usize - offset);
-                self.groups[g] = Group { best, cost, fast: true, dirty: false, ..group };
-                return probes;
+                return (entries.start + head.pos as usize - offset, cost, probes);
             }
         }
         let mut best = (entries.start, f64::INFINITY);
@@ -509,20 +481,16 @@ impl Layout {
                 best = (e, cost);
             }
         }
-        let best_index = index(best.0 - offset);
-        self.groups[g] =
-            Group { best: best_index, cost: best.1, fast: false, dirty: false, ..group };
-        probes
+        (best.0 - offset, best.1, probes)
     }
 }
 
-/// Reusable state for the incremental MaxGain kernel: the grouped layout
-/// with its term values and group caches, per-player current costs and best
+/// Reusable state for the incremental MaxGain kernel: the term table with
+/// its group and head-set caches, per-player current costs and best
 /// responses behind dirty flags, and the warm snapshot. Owning one across
 /// calls makes the steady-state solve allocation-free; a cold call
-/// recomputes every term (rebuilding the layout when a strategy changed)
-/// and marks everything dirty at its start, so weight updates between calls
-/// need no bookkeeping.
+/// recomputes every term and marks everything dirty at its start, so weight
+/// updates between calls need no bookkeeping.
 #[derive(Debug, Clone, Default)]
 pub struct CgbaScratch {
     /// `offsets[i]..offsets[i+1]` indexes player `i`'s entries (one per
@@ -543,7 +511,7 @@ pub struct CgbaScratch {
     /// warm call starts from the snapshotted profile under the same filter
     /// and strategy weights, only terms on resources whose weight or load
     /// changed bit pattern since that run are recomputed. Strategy weights
-    /// are snapshotted by the term keys.
+    /// are snapshotted by the term table.
     snap_valid: bool,
     snap_choices: Vec<usize>,
     snap_loads: Vec<u64>,
@@ -558,25 +526,37 @@ pub struct CgbaScratch {
 }
 
 impl CgbaScratch {
-    /// Sizes the caches for `game`, rebuilds the layout unless every
-    /// strategy still matches it, computes the term values at `profile` and
-    /// marks every cache dirty.
-    fn reset<G: GameRef>(&mut self, game: &G, profile: &Profile) {
-        let structure = game.structure();
-        let n = structure.num_players();
-        // Between BDMA rounds only resource weights change, and the layout
-        // depends on the strategies alone.
-        if self.layout_matches(structure) {
-            self.layout.dirty_all();
-        } else {
+    /// Rebuilds the layout unless every strategy of `structure` still
+    /// matches it. With `validate`, first checks the structure, unless the
+    /// layout matches and was built from a validated structure: the match
+    /// compares every resource and weight bit, so the verdict carries over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `validate` is set and the structure fails validation.
+    fn prepare(&mut self, structure: &GameStructure, validate: bool) {
+        let matches = self.layout_matches(structure);
+        if validate && !(matches && self.layout.validated) {
+            structure.validate().expect("game must validate before solving");
+        }
+        if !matches {
             self.offsets.clear();
             self.offsets.push(0);
-            let mut total = 0;
-            for i in 0..n {
-                total += structure.strategies(i).len();
-                self.offsets.push(total);
+            for i in 0..structure.num_players() {
+                self.offsets.push(self.offsets[i] + structure.strategies(i).len());
             }
             self.layout.build(structure);
+            self.snap_valid = false;
+        }
+        self.layout.validated |= validate;
+    }
+
+    /// Sizes the per-player caches for `game`, computes the term values at
+    /// `profile` and marks every cache dirty.
+    fn reset<G: GameRef>(&mut self, game: &G, profile: &Profile) {
+        let n = game.structure().num_players();
+        for head in &mut self.layout.heads {
+            head.dirty = true;
         }
         self.cur_cost.clear();
         self.cur_cost.resize(n, 0.0);
@@ -589,7 +569,16 @@ impl CgbaScratch {
         self.player_dirty.clear();
         self.player_dirty.resize(n, true);
         self.moves.clear();
-        self.layout.refresh_all(game, profile);
+        self.layout.own.fill(0.0);
+        for i in 0..n {
+            for &(r, w) in &game.structure().strategies(i)[profile.choices[i]] {
+                let run = self.layout.player_run(r, i);
+                self.layout.own[run].fill(w);
+            }
+        }
+        for r in 0..game.structure().num_resources() {
+            self.sweep(game, profile, r, self.layout.by_resource.range(r));
+        }
         // A cold start means the caches will be rebuilt for an arbitrary
         // profile; any retained warm snapshot no longer describes them.
         self.snap_valid = false;
@@ -597,30 +586,26 @@ impl CgbaScratch {
 
     /// Attempts the warm first-iteration fast path: when `initial` is
     /// exactly the profile the last converged run ended on, `filter` is the
-    /// filter it ran under and every strategy weight is unchanged, the
-    /// caches in this scratch are still *valid* except where a resource
-    /// weight or load changed bit pattern — the cost expressions are
-    /// deterministic, so a rescan would reproduce every other cached float
-    /// exactly. Recomputes the terms on those resources, dirties what reads
-    /// a changed term, and returns `true`.
+    /// filter it ran under and the layout was not rebuilt since (so every
+    /// strategy weight is unchanged), the caches in this scratch are still
+    /// *valid* except where a resource weight or load changed bit pattern —
+    /// the cost expressions are deterministic, so a rescan would reproduce
+    /// every other cached float exactly. Recomputes the terms on those
+    /// resources, dirtying what reads a changed one, and returns `true`.
     ///
     /// Returns `false` (caller must [`CgbaScratch::reset`]) when there is no
-    /// snapshot, the seed, filter or a strategy weight differs from the
-    /// snapshot, or the game structure drifted.
+    /// snapshot or the seed or filter differs from the snapshot.
     fn try_warm<G: GameRef>(
         &mut self,
         game: &G,
         initial: &Profile,
         filter: Option<&StrategyFilter>,
     ) -> bool {
-        if !self.snap_valid {
-            return false;
-        }
         let weights = game.weights();
-        if self.snap_choices != initial.choices
+        if !self.snap_valid
+            || self.snap_choices != initial.choices
             || self.snap_filter.as_ref() != filter
             || self.snap_weights.len() != weights.len()
-            || !self.layout_matches(game.structure())
         {
             return false;
         }
@@ -632,20 +617,23 @@ impl CgbaScratch {
             if weights.get(r).to_bits() != self.snap_weights[r]
                 || initial.loads[r].to_bits() != self.snap_loads[r]
             {
-                self.refresh_resource(game, initial, r);
+                self.sweep(game, initial, r, self.layout.by_resource.range(r));
             }
         }
         true
     }
 
     /// Whether every strategy of `structure` reads the resources and weights
-    /// the layout was built from. New weights may regroup the terms.
+    /// the layout was built from, over as many resources. New weights may
+    /// regroup the terms.
     fn layout_matches(&self, structure: &GameStructure) -> bool {
         let n = structure.num_players();
-        if self.offsets.len() != n + 1 {
+        let layout = &self.layout;
+        if self.offsets.len() != n + 1
+            || layout.by_resource.start.len() != structure.num_resources() + 1
+        {
             return false;
         }
-        let layout = &self.layout;
         let mut pos = 0;
         for i in 0..n {
             let strategies = structure.strategies(i);
@@ -660,8 +648,11 @@ impl CgbaScratch {
                     return false;
                 }
                 for &(r, w) in strategy {
-                    let term = &layout.terms[layout.pos_term[pos] as usize];
-                    if term.resource as usize != r || term.weight.to_bits() != w.to_bits() {
+                    let t = layout.pos_term[pos] as usize;
+                    if r >= structure.num_resources()
+                        || !layout.by_resource.range(r).contains(&t)
+                        || layout.weight[t].to_bits() != w.to_bits()
+                    {
                         return false;
                     }
                     pos += 1;
@@ -704,47 +695,47 @@ impl CgbaScratch {
 
     /// Monotonic count of cost evaluations performed by every solve that
     /// used this scratch: one per player's current cost and one per
-    /// strategy cost evaluated in a best-response scan (a group whose
-    /// cached minimum is tie-free costs one or two). Callers snapshot
-    /// before/after a solve and emit the delta as the `cgba.probes` counter.
+    /// strategy cost evaluated in a best-response scan. A dirty player
+    /// refreshes every one of its groups, and a group whose cached minimum
+    /// is tie-free costs one or two. Callers snapshot before/after a solve
+    /// and emit the delta as the `cgba.probes` counter.
     pub fn probes(&self) -> u64 {
         self.probes
     }
 
-    /// Recomputes term `t`, dirtying its player's current cost when the
-    /// player uses the term's resource and whatever reads the term when
-    /// its value changed.
-    fn refresh_term<G: GameRef>(&mut self, game: &G, profile: &Profile, t: usize) {
-        let i = self.layout.terms[t].player as usize;
-        // Validated weights are positive, so a zero share means unused.
-        self.cur_dirty[i] |= self.layout.terms[t].own != 0.0;
-        if let Some(old) = self.layout.refresh_term(game, profile, t) {
-            self.player_dirty[i] |= self.layout.mark(t, old);
-        }
-    }
-
-    /// [`CgbaScratch::refresh_term`] for every term on resource `r`.
-    fn refresh_resource<G: GameRef>(&mut self, game: &G, profile: &Profile, r: usize) {
-        let terms = &self.layout.resource_terms;
-        for k in terms.start[r] as usize..terms.start[r + 1] as usize {
-            let t = self.layout.resource_terms.items[k] as usize;
-            self.refresh_term(game, profile, t);
-        }
-    }
-
-    /// Refreshes player `i`'s dirty groups and caches its best allowed
-    /// response: the first group, in strategy order, with the smallest
-    /// cost — the strict-`<` rescan's pick.
-    fn refresh_player(&mut self, profile: &Profile, i: usize, allowed: &[bool]) {
+    /// Recomputes the terms `run` of resource `r` at `profile`, in one
+    /// pass. Each dirties its owner's current cost when the owner uses `r`,
+    /// and when its value changed bit pattern, the owner's best response
+    /// and the term's head set.
+    fn sweep<G: GameRef>(&mut self, game: &G, profile: &Profile, r: usize, run: Range<usize>) {
+        let (m, load) = (game.weights().get(r), profile.loads[r]);
         let layout = &mut self.layout;
-        let mut best = (profile.choices[i], f64::INFINITY);
-        for g in layout.player_groups[i] as usize..layout.player_groups[i + 1] as usize {
-            if layout.groups[g].dirty {
-                self.probes += layout.refresh_group(g, self.offsets[i], allowed);
+        for t in run {
+            let (w, own) = (layout.weight[t], layout.own[t]);
+            let value = m * w * (load - own + w);
+            let old = std::mem::replace(&mut layout.value[t], value);
+            let i = layout.player[t] as usize;
+            // Validated weights are positive, so a zero share means unused.
+            self.cur_dirty[i] |= own != 0.0;
+            if value.to_bits() != old.to_bits() {
+                self.player_dirty[i] = true;
+                layout.update_head(t, old, value);
             }
-            let group = &layout.groups[g];
-            if group.cost < best.1 {
-                best = (group.best as usize, group.cost);
+        }
+    }
+
+    /// Refolds player `i`'s groups and caches its best allowed response:
+    /// the first group, in strategy order, with the smallest cost — the
+    /// strict-`<` rescan's pick.
+    fn refresh_player(&mut self, profile: &Profile, i: usize, allowed: &[bool]) {
+        let mut best = (profile.choices[i], f64::INFINITY);
+        let groups =
+            self.layout.player_groups[i] as usize..self.layout.player_groups[i + 1] as usize;
+        for g in groups {
+            let (s, cost, probes) = self.layout.group_best(g, self.offsets[i], allowed);
+            self.probes += probes;
+            if cost < best.1 {
+                best = (s, cost);
             }
         }
         self.best_s[i] = best.0;
@@ -753,40 +744,41 @@ impl CgbaScratch {
     }
 
     /// Performs player `i`'s move to strategy `s` (via [`Profile::switch`])
-    /// and recomputes every term the move can change, dirtying what reads
-    /// a changed one.
+    /// and recomputes every term the move can change.
     ///
     /// A non-mover's term depends only on the *value* of its resource's load
     /// (and its own unchanged choice), so only resources whose load actually
-    /// changed bit pattern are refreshed. When the old and new strategy
-    /// share a resource with the same weight (e.g. a server switch that
-    /// keeps the base station), the `-w` then `+w` round-trip usually
-    /// restores the load bits exactly, so the loads are snapshotted before
-    /// the switch and compared after.
+    /// changed bit pattern are swept whole; on the mover's other touched
+    /// resources only its own terms, whose `own` share may have moved, are
+    /// recomputed. When the old and new strategy share a resource with the
+    /// same weight (e.g. a server switch that keeps the base station), the
+    /// `-w` then `+w` round-trip usually restores the load bits exactly, so
+    /// the loads are snapshotted before the switch and compared after.
     fn apply_move<G: GameRef>(&mut self, game: &G, profile: &mut Profile, i: usize, s: usize) {
-        let structure = game.structure();
+        let strategies = game.structure().strategies(i);
         self.touched.clear();
         for strat in [profile.choices[i], s] {
-            for &(r, _) in &structure.strategies(i)[strat] {
+            for &(r, _) in &strategies[strat] {
                 if !self.touched.iter().any(|&(tr, _)| tr == r) {
                     self.touched.push((r, profile.loads[r].to_bits()));
                 }
             }
         }
         profile.switch(game, i, s);
-        // The mover's `own` share followed its choice, so all its terms may
-        // change, as do its cost and best response.
+        // The mover's cost and best response follow its choice.
         self.player_dirty[i] = true;
         self.cur_dirty[i] = true;
-        self.layout.refresh_own(game, profile, i);
-        for t in self.layout.player_terms[i] as usize..self.layout.player_terms[i + 1] as usize {
-            self.refresh_term(game, profile, t);
-        }
         for idx in 0..self.touched.len() {
             let (r, before) = self.touched[idx];
-            if profile.loads[r].to_bits() != before {
-                self.refresh_resource(game, profile, r);
-            }
+            let own = strategies[s].iter().find(|&&(nr, _)| nr == r).map_or(0.0, |&(_, w)| w);
+            let mine = self.layout.player_run(r, i);
+            self.layout.own[mine.clone()].fill(own);
+            let run = if profile.loads[r].to_bits() != before {
+                self.layout.by_resource.range(r)
+            } else {
+                mine
+            };
+            self.sweep(game, profile, r, run);
         }
     }
 }
@@ -832,6 +824,7 @@ pub fn cgba_from_with_scratch<G: GameRef>(
         validate_parts(game.structure(), game.weights()).is_ok(),
         "game must validate before solving"
     );
+    scratch.prepare(game.structure(), false);
     run_kernel(game, initial, config, None, false, || false, scratch)
 }
 
@@ -839,13 +832,13 @@ pub fn cgba_from_with_scratch<G: GameRef>(
 /// first-iteration fast path: [`cgba_kernel`] warm, unfiltered and never
 /// stopped. When `initial` equals the profile the previous converged run
 /// on this scratch ended on, only the terms on resources whose weight or
-/// load changed bit pattern since then are recomputed, and only what reads
-/// a changed term is rescanned (the scratch's `try_warm` step); everything
-/// else is reused. Falls back to a full scratch reset whenever
-/// the snapshot does not apply, so the result is *always* bit-identical to
-/// [`cgba_from_reference`] for the same game, initial profile, and config —
-/// warm starts change how fast the mover sequence is found, never which
-/// moves are made.
+/// load changed bit pattern since then are recomputed, and only the
+/// players owning a changed term refresh their best responses (the
+/// scratch's `try_warm` step); everything else is reused. Falls back to a
+/// full scratch reset whenever the snapshot does not apply, so the result
+/// is *always* bit-identical to [`cgba_from_reference`] for the same game,
+/// initial profile, and config — warm starts change how fast the mover
+/// sequence is found, never which moves are made.
 ///
 /// Only the MaxGain scheduler has an incremental cache to warm; RoundRobin
 /// degrades to the cold path.
@@ -864,6 +857,7 @@ pub fn cgba_warm_from_with_scratch<G: GameRef>(
         validate_parts(game.structure(), game.weights()).is_ok(),
         "game must validate before solving"
     );
+    scratch.prepare(game.structure(), false);
     run_kernel(game, initial, config, None, true, || false, scratch)
 }
 
@@ -877,7 +871,9 @@ pub fn cgba_warm_from_with_scratch<G: GameRef>(
 /// well as the profile and weights. Every converged MaxGain run leaves a
 /// snapshot behind, so a cold solve can seed warm ones.
 ///
-/// The game is fully validated on every call. The run is bit-identical
+/// The game is validated on every call: the resource weights each time,
+/// the strategies only when the scratch's layout does not already describe
+/// a validated structure with the same bits. The run is bit-identical
 /// to the naive filtered rescan from the same initial profile: same scan
 /// order, same float expressions, same mover selection (property-tested
 /// in `tests/filtered_incremental.rs`). Players the filter leaves with
@@ -899,7 +895,8 @@ pub fn cgba_kernel<G: GameRef>(
     scratch: &mut CgbaScratch,
 ) -> CgbaReport {
     check_preconditions(game, config);
-    validate_parts(game.structure(), game.weights()).expect("game must validate before solving");
+    game.weights().validate().expect("game must validate before solving");
+    scratch.prepare(game.structure(), true);
     run_kernel(game, initial, config, filter, warm, should_stop, scratch)
 }
 

@@ -261,3 +261,103 @@ fn unchanged_warm_rerun_under_a_filter_probes_nothing() {
     assert!(again.converged);
     assert_eq!(scratch.probes(), probes);
 }
+
+/// A valid game, solved once by the kernel on `scratch`, so the scratch
+/// holds a validated layout of it.
+fn solved_once(scratch: &mut CgbaScratch) -> CongestionGame {
+    let game = random_game(&mut Pcg32::seed(21), 6, 4, 4);
+    let initial = Profile::random(&game, &mut Pcg32::seed(22));
+    cgba_kernel(&game, initial, &CgbaConfig::default(), None, false, || false, scratch);
+    game
+}
+
+/// `game`'s strategies over `resource_weights`, with player 0's first
+/// strategy weight replaced by `w`, built by the lazy constructor, which
+/// does not validate.
+fn unvalidated_twin(game: &CongestionGame, resource_weights: Vec<f64>, w: f64) -> CongestionGame {
+    let mut twin = CongestionGame::new(resource_weights);
+    for i in 0..game.num_players() {
+        let mut strategies = game.strategies(i).to_vec();
+        if i == 0 {
+            strategies[0][0].1 = w;
+        }
+        twin.add_player(strategies);
+    }
+    twin
+}
+
+/// Solves `game` with the kernel, from player choices all 0.
+fn kernel_solve(game: &CongestionGame, scratch: &mut CgbaScratch) {
+    let initial = Profile::from_choices(game, vec![0; game.num_players()]);
+    cgba_kernel(game, initial, &CgbaConfig::default(), None, false, || false, scratch);
+}
+
+/// A strategy weight written NaN after a valid solve must still stop the
+/// kernel on the same scratch. Debug builds stop it earlier, in the
+/// setter's own assertion.
+#[test]
+#[cfg_attr(debug_assertions, should_panic(expected = "player weight must be positive"))]
+#[cfg_attr(not(debug_assertions), should_panic(expected = "game must validate before solving"))]
+fn a_nan_strategy_weight_after_a_valid_solve_panics() {
+    let mut scratch = CgbaScratch::default();
+    let mut game = solved_once(&mut scratch);
+    let mut weights: Vec<f64> = game.strategies(0)[0].iter().map(|&(_, w)| w).collect();
+    weights[0] = f64::NAN;
+    game.set_strategy_weights(0, 0, &weights);
+    kernel_solve(&game, &mut scratch);
+}
+
+/// The same game with a NaN strategy weight, built without the setter's
+/// assertion, stops the kernel in every build.
+#[test]
+#[should_panic(expected = "game must validate before solving")]
+fn a_nan_strategy_weight_twin_after_a_valid_solve_panics() {
+    let mut scratch = CgbaScratch::default();
+    let game = solved_once(&mut scratch);
+    let twin = unvalidated_twin(&game, game.weights().as_slice().to_vec(), f64::NAN);
+    kernel_solve(&twin, &mut scratch);
+}
+
+/// A bad resource weight after a valid solve stops the kernel on the same
+/// scratch: resource weights are checked on every call.
+#[test]
+#[should_panic(expected = "game must validate before solving")]
+fn a_bad_resource_weight_after_a_valid_solve_panics() {
+    let mut scratch = CgbaScratch::default();
+    let game = solved_once(&mut scratch);
+    let mut weights = game.weights().as_slice().to_vec();
+    weights[1] = -1.0;
+    let w = game.strategies(0)[0][0].1;
+    kernel_solve(&unvalidated_twin(&game, weights, w), &mut scratch);
+}
+
+/// The same strategies over fewer resources leave one dangling: the layout
+/// of the valid game must not vouch for them.
+#[test]
+#[should_panic(expected = "game must validate before solving")]
+fn the_same_strategies_over_fewer_resources_panic() {
+    let mut scratch = CgbaScratch::default();
+    let game = solved_once(&mut scratch);
+    let mut weights = game.weights().as_slice().to_vec();
+    weights.pop();
+    let twin = unvalidated_twin(&game, weights, game.strategies(0)[0][0].1);
+    // The twin cannot even sum its own loads; the valid game's profile
+    // covers every resource.
+    let initial = Profile::from_choices(&game, vec![0; game.num_players()]);
+    cgba_kernel(&twin, initial, &CgbaConfig::default(), None, false, || false, &mut scratch);
+}
+
+/// A layout the non-validating entry point built from an invalid game
+/// does not count as validated. Debug builds assert validity in that entry
+/// point too, so this runs in release builds only.
+#[cfg(not(debug_assertions))]
+#[test]
+#[should_panic(expected = "game must validate before solving")]
+fn a_layout_built_without_validation_is_not_trusted() {
+    let game = random_game(&mut Pcg32::seed(21), 6, 4, 4);
+    let twin = unvalidated_twin(&game, game.weights().as_slice().to_vec(), f64::NAN);
+    let mut scratch = CgbaScratch::default();
+    let initial = Profile::from_choices(&twin, vec![0; twin.num_players()]);
+    eotora_game::cgba_from_with_scratch(&twin, initial, &CgbaConfig::default(), &mut scratch);
+    kernel_solve(&twin, &mut scratch);
+}

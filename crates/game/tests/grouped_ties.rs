@@ -8,8 +8,9 @@
 //! what `cgba_from_reference` and `cgba_from_filtered` report.
 
 use eotora_game::{
-    cgba_from_filtered, cgba_from_reference, cgba_from_with_scratch, cgba_kernel, CgbaConfig,
-    CgbaReport, CgbaScratch, CongestionGame, Profile, StrategyFilter,
+    cgba_from_filtered, cgba_from_reference, cgba_from_with_scratch, cgba_kernel,
+    cgba_warm_from_with_scratch, CgbaConfig, CgbaReport, CgbaScratch, CongestionGame, Profile,
+    StrategyFilter,
 };
 use eotora_util::rng::Pcg32;
 use proptest::prelude::*;
@@ -31,13 +32,15 @@ fn tiny_value(rng: &mut Pcg32, base: f64) -> f64 {
 /// player reweights it. A player's head weights sit within two ulps of one
 /// base value and the suffix outweighs the heads, so heads on equally
 /// loaded resources differ by a few ulps and their strategy costs often
-/// round together.
+/// round together. `pushers` more players each choose among a few head
+/// resources with one heavy weight.
 fn bundle_game(
     rng: &mut Pcg32,
     players: usize,
     heads: usize,
     groups: usize,
     suffix_len: usize,
+    pushers: usize,
 ) -> CongestionGame {
     let weights: Vec<f64> = (0..heads)
         .map(|_| 1.0)
@@ -64,6 +67,15 @@ fn bundle_game(
                 strategies.push(strategy);
             }
         }
+        game.add_player(strategies);
+    }
+    // Pushers move heavy weights between head resources, so a head term
+    // jumps across its head set's cached minimum and second head, in
+    // either direction, between two moves.
+    for _ in 0..pushers {
+        let strategies = (0..1 + rng.below(heads))
+            .map(|_| vec![(rng.below(heads), [0.25, 1.0, 4.0][rng.below(3)])])
+            .collect();
         game.add_player(strategies);
     }
     game.validate().expect("generated game is valid");
@@ -142,9 +154,10 @@ proptest! {
         groups in 1usize..4,
         suffix_len in 0usize..3,
         lambda in 0usize..2,
+        pushers in 0usize..4,
     ) {
         let mut rng = Pcg32::seed(seed);
-        let game = bundle_game(&mut rng, players, heads, groups, suffix_len);
+        let game = bundle_game(&mut rng, players, heads, groups, suffix_len, pushers);
         let config = CgbaConfig { lambda: [0.0, 0.05][lambda], ..Default::default() };
         let initial = Profile::random(&game, &mut Pcg32::seed(seed ^ 0x71E5));
 
@@ -244,4 +257,191 @@ fn strategies_after_an_empty_one_stay_current() {
     assert!(same_bits(&report, &oracle), "{report:?} vs {oracle:?}");
     assert_eq!(scratch.moves(), &[(1, 1), (0, 2)]);
     assert_eq!(naive_moves(&game, initial, &config, Some(&filter)), [(1, 1), (0, 2)]);
+}
+
+/// The fixture of the head-set rule tests. Player 0 chooses among
+/// strategies `k = 0..heads.len()`, each head resource `k` plus one shared
+/// suffix resource, and a home strategy on a resource of its own; it
+/// starts at home. `heads[k]` is the head resource's weight `m` and its
+/// background load. Player 1, the pusher, moves a weight of 4 from
+/// resource `from` to resource `to`; resource `heads.len() + 2` (weight
+/// 0.5, background load `park_load`) is a spare place for it, and the
+/// suffix and home are `heads.len()` and `heads.len() + 1`. Every
+/// background load is one blocker player with a single strategy, so the
+/// heads of player 0 only change when the pusher moves. Heads cost
+/// `m·(load + 1)` and the suffix `suffix_load + 1`.
+fn rule_game(
+    heads: &[(f64, f64)],
+    suffix_load: f64,
+    home_load: f64,
+    (from, to): (usize, usize),
+    park_load: f64,
+) -> (CongestionGame, Profile) {
+    let (suffix, home) = (heads.len(), heads.len() + 1);
+    let weights = heads.iter().map(|&(m, _)| m).chain([1.0, 1.0, 0.5]).collect();
+    let mut game = CongestionGame::new(weights);
+    let mut strategies: Vec<_> = (0..heads.len()).map(|k| vec![(k, 1.0), (suffix, 1.0)]).collect();
+    strategies.push(vec![(home, 1.0)]);
+    game.add_player(strategies);
+    game.add_player(vec![vec![(from, 4.0)], vec![(to, 4.0)]]);
+    let loads = heads.iter().map(|&(_, load)| load).chain([suffix_load, home_load, park_load]);
+    for (r, load) in loads.enumerate().filter(|&(_, load)| load > 0.0) {
+        game.add_player(vec![vec![(r, load)]]);
+    }
+    game.validate().expect("fixture is valid");
+    let mut choices = vec![0; game.num_players()];
+    choices[0] = heads.len();
+    let initial = Profile::from_choices(&game, choices);
+    (game, initial)
+}
+
+/// Solves `game` from `initial` on a fresh scratch, checks it against both
+/// oracles, and returns its moves and its cost probes.
+fn solve_checked(game: &CongestionGame, initial: &Profile) -> (Vec<(usize, usize)>, u64) {
+    let config = CgbaConfig::default();
+    let mut scratch = CgbaScratch::default();
+    let report = cgba_from_with_scratch(game, initial.clone(), &config, &mut scratch);
+    let oracle = cgba_from_reference(game, initial.clone(), &config);
+    assert!(same_bits(&report, &oracle), "{report:?} vs {oracle:?}");
+    assert_eq!(scratch.moves(), naive_moves(game, initial.clone(), &config, None));
+    (scratch.moves().to_vec(), scratch.probes())
+}
+
+/// One ulp above and below 1.
+const ABOVE_ONE: f64 = 1.0 + f64::EPSILON;
+const BELOW_ONE: f64 = 1.0 - f64::EPSILON / 2.0;
+
+/// The pusher leaves head 2 (cost 5 → 1), which falls below the minimum
+/// (2, head 0) and so becomes it, at its own position.
+#[test]
+fn a_head_falling_below_the_minimum_takes_its_position() {
+    let heads = [(1.0, 1.0), (1.0, 2.0), (1.0, 0.0)];
+    let (game, initial) = rule_game(&heads, 0.0, 2.5, (2, 5), 0.0);
+    assert_eq!(solve_checked(&game, &initial).0, [(1, 1), (0, 2)]);
+}
+
+/// The pusher leaves head 1 (cost ≈ 6 → 2 − 1 ulp), which falls below the
+/// minimum (2, head 0); the old minimum becomes the second head. Behind a
+/// suffix of 8 both round to the same strategy cost, so the first strategy
+/// must win — only a rescan finds that, so the second head must be right.
+#[test]
+fn a_head_falling_below_the_minimum_keeps_the_old_one_second() {
+    let heads = [(1.0, 1.0), (BELOW_ONE, 1.0), (1.0, 2.0)];
+    let (game, initial) = rule_game(&heads, 7.0, 9.5, (1, 5), 0.0);
+    assert_eq!(solve_checked(&game, &initial).0, [(1, 1), (0, 0)]);
+}
+
+/// The pusher leaves head 0 (cost 6 → 2), which lands exactly on the
+/// minimum (2, head 1): the first position holding it must win.
+#[test]
+fn a_head_landing_on_the_minimum_earlier_takes_the_first_position() {
+    let heads = [(1.0, 1.0), (1.0, 1.0), (1.0, 2.0)];
+    let (game, initial) = rule_game(&heads, 0.0, 2.5, (0, 5), 0.0);
+    assert_eq!(solve_checked(&game, &initial).0, [(1, 1), (0, 0)]);
+}
+
+/// The pusher leaves head 0 (cost ≈ 6 → 2 + 2 ulps), which lands strictly
+/// between the minimum (2, head 1) and the second head (3) and so becomes
+/// the second head. Behind a suffix of 8 it rounds onto the minimum's
+/// strategy cost, so the rescan's first pick, head 0, must win.
+#[test]
+fn a_head_landing_between_the_minimum_and_the_second_becomes_second() {
+    let heads = [(ABOVE_ONE, 1.0), (1.0, 1.0), (1.0, 2.0)];
+    let (game, initial) = rule_game(&heads, 7.0, 9.5, (0, 5), 0.0);
+    assert_eq!(solve_checked(&game, &initial).0, [(1, 1), (0, 0)]);
+}
+
+/// The pusher joins head 0 (cost 2 → 6), the minimum: its head set must be
+/// rescanned, which makes head 1 (3) the new minimum.
+#[test]
+fn a_head_rising_off_the_minimum_forces_a_rescan() {
+    let heads = [(1.0, 1.0), (1.0, 2.0), (1.0, 3.0)];
+    let (game, initial) = rule_game(&heads, 0.0, 3.5, (5, 0), 20.0);
+    assert_eq!(solve_checked(&game, &initial).0, [(1, 1), (0, 1)]);
+}
+
+/// The pusher joins head 1 (cost 2 + 2 ulps → ≈ 6), the second head, which
+/// ties the minimum (2, head 0) behind a suffix of 8. The head set must be
+/// rescanned: its new second head (3, head 2) no longer ties, so player 0
+/// evaluates two strategy costs instead of rescanning all three. A stale
+/// second head would only ever be too small, so no decision shows it; the
+/// probe count does.
+#[test]
+fn a_head_rising_off_the_second_head_forces_a_rescan() {
+    let heads = [(1.0, 1.0), (ABOVE_ONE, 1.0), (1.0, 2.0)];
+    let (game, initial) = rule_game(&heads, 7.0, 8.0, (5, 1), 20.0);
+    let (moves, probes) = solve_checked(&game, &initial);
+    assert_eq!(moves, [(1, 1)]);
+    // Scan 1: 8 current costs; 5 + 1 for player 0's two groups, 2 for the
+    // pusher's group and 1 for each of the 6 blockers. Scan 2: the current
+    // costs of the pusher and the 2 blockers beside it, 2 + 1 for player
+    // 0, 2 for the pusher and 1 for each of those blockers.
+    assert_eq!(probes, (8 + 5 + 1 + 2 + 6) + (3 + 2 + 1 + 2 + 2));
+}
+
+/// Zero heads: the pusher leaves head 0, whose cost then underflows from a
+/// positive value above the second head to −0.0, onto the minimum +0.0
+/// (head 1). `==` ties the two zeros, so the cached minimum keeps its +0.0
+/// while its first position moves to head 0; `0 + h` erases the sign, so
+/// the strategy costs match the rescan's, which picks head 0.
+#[test]
+fn zero_heads_of_either_sign_tie() {
+    // Resources: heads 0–2, player 0's home, the pusher's spare place.
+    let mut game = CongestionGame::new(vec![1e-310, 1e-310, 1e-310, 1e-300, 1e-300]);
+    game.add_player(vec![
+        vec![(0, BELOW_ONE)],
+        vec![(1, 1e-20)],
+        vec![(2, 1.0)],
+        // Home shares head 0's resource, so its load absorbs player 0's
+        // weight 1 there once the pusher's 1e20 comes and goes.
+        vec![(0, 1.0), (3, 1.0)],
+    ]);
+    game.add_player(vec![vec![(0, 1e20)], vec![(4, 1.0)]]);
+    game.validate().expect("fixture is valid");
+    let initial = Profile::from_choices(&game, vec![3, 0]);
+    let mut after = initial.clone();
+    after.switch(&game, 1, 1);
+    let head0 = 1e-310 * BELOW_ONE * (after.loads()[0] - 1.0 + BELOW_ONE);
+    assert!(head0 == 0.0 && head0.is_sign_negative(), "head 0 must cost -0.0, got {head0:e}");
+
+    let (moves, _) = solve_checked(&game, &initial);
+    assert_eq!(moves[..2], [(1, 1), (0, 0)]);
+}
+
+/// NaN and ∞ heads: two blockers overflow head 0's load to ∞, and player
+/// 0's weight there times the resource weight underflows to 0, so head 0
+/// costs `0·∞ = NaN` ahead of heads that fall below the minimum. Warm
+/// rounds then raise head 0's resource weight (NaN → ∞, which forces a
+/// rescan) and lower it again (∞ → NaN, which leaves the cache as it is).
+/// Neither form may ever pick the NaN or ∞ head.
+#[test]
+fn nan_and_infinite_heads_are_never_picked() {
+    // Resources: heads 0–3, player 0's home, the pusher's spare place.
+    let mut game = CongestionGame::new(vec![1e-200, 1.0, 1.0, 1.0, 1.0, 0.5]);
+    game.add_player(
+        (0..4)
+            .map(|k| vec![(k, if k == 0 { 1e-200 } else { 1.0 })])
+            .chain([vec![(4, 1.0)]])
+            .collect(),
+    );
+    game.add_player(vec![vec![(3, 4.0)], vec![(5, 4.0)]]);
+    for (r, load) in [(0, 1e308), (0, 1e308), (1, 1.0), (2, 2.0), (4, 1.5)] {
+        game.add_player(vec![vec![(r, load)]]);
+    }
+    game.validate().expect("fixture is valid");
+    let initial = Profile::from_choices(&game, vec![4, 0, 0, 0, 0, 0, 0]);
+    assert_eq!(initial.loads()[0], f64::INFINITY);
+
+    let config = CgbaConfig::default();
+    let mut scratch = CgbaScratch::default();
+    let mut seed = initial;
+    for (round, m) in [1e-200, 1.0, 1e-200].into_iter().enumerate() {
+        game.set_resource_weight(0, m);
+        let report = cgba_warm_from_with_scratch(&game, seed.clone(), &config, &mut scratch);
+        let oracle = cgba_from_reference(&game, seed.clone(), &config);
+        assert!(same_bits(&report, &oracle), "round {round}: {report:?} vs {oracle:?}");
+        assert_eq!(scratch.moves(), naive_moves(&game, seed, &config, None), "round {round}");
+        assert_ne!(report.profile.choices()[0], 0, "round {round} picked head 0");
+        seed = report.profile;
+    }
 }

@@ -47,7 +47,8 @@ pub const COUNTER_CGBA_ITERATIONS: &str = "cgba_iterations";
 pub const COUNTER_CGBA_CONVERGED: &str = "cgba_converged";
 /// Counter name for cost evaluations inside CGBA (the game hot path's
 /// unit of work): one per strategy cost evaluated in a best-response scan
-/// and one per player's current cost.
+/// and one per player's current cost. The incremental kernel evaluates a
+/// group with a tie-free cached minimum head in one or two.
 pub const COUNTER_CGBA_PROBES: &str = "cgba.probes";
 /// Counter name for best-response moves made by warm-seeded CGBA solves.
 pub const COUNTER_CGBA_WARM_MOVES: &str = "cgba.warm.moves_to_converge";
@@ -285,7 +286,11 @@ pub const ALL: &[MetricDef] = &[
     def(COUNTER_BDMA_ROUNDS_SAVED, MetricKind::Counter, "BDMA rounds skipped by early termination"),
     def(COUNTER_CGBA_ITERATIONS, MetricKind::Counter, "CGBA best-response iterations executed"),
     def(COUNTER_CGBA_CONVERGED, MetricKind::Counter, "CGBA solves that reached a Nash equilibrium"),
-    def(COUNTER_CGBA_PROBES, MetricKind::Counter, "strategy costs evaluated in CGBA scans"),
+    def(
+        COUNTER_CGBA_PROBES,
+        MetricKind::Counter,
+        "cost evaluations in CGBA scans: strategy costs and current costs",
+    ),
     def(
         COUNTER_CGBA_WARM_MOVES,
         MetricKind::Counter,

@@ -19,14 +19,14 @@ fn work(result: &SimulationResult) -> (u64, u64) {
 
 #[test]
 fn plain_run_work_is_pinned() {
-    assert_eq!(work(&run(&scenario())), (1090, 157_620));
+    assert_eq!(work(&run(&scenario())), (1090, 280_122));
 }
 
 #[test]
 fn robust_run_work_is_pinned() {
     let s = scenario();
     let result = run_robust(&s, &FaultSchedule::default(), &robust_config(&s, None));
-    assert_eq!(work(&result), (157, 27_198));
+    assert_eq!(work(&result), (157, 43_796));
 }
 
 #[test]
@@ -36,5 +36,5 @@ fn paper_scale_work_is_pinned() {
     let s = Scenario::paper(200, 42).with_horizon(2);
     let plain = work(&run(&s));
     let robust = work(&run_robust(&s, &FaultSchedule::default(), &robust_config(&s, None)));
-    assert_eq!((plain, robust), ((2527, 3_018_273), (349, 419_882)));
+    assert_eq!((plain, robust), ((2527, 6_247_959), (349, 872_300)));
 }
