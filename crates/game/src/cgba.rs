@@ -750,7 +750,8 @@ impl CgbaScratch {
     /// (and its own unchanged choice), so only resources whose load actually
     /// changed bit pattern are swept whole; on the mover's other touched
     /// resources only its own terms, whose `own` share may have moved, are
-    /// recomputed. When the old and new strategy share a resource with the
+    /// recomputed (its terms elsewhere keep a zero share and an unchanged
+    /// load). When the old and new strategy share a resource with the
     /// same weight (e.g. a server switch that keeps the base station), the
     /// `-w` then `+w` round-trip usually restores the load bits exactly, so
     /// the loads are snapshotted before the switch and compared after.

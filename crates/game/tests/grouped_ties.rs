@@ -405,12 +405,12 @@ fn zero_heads_of_either_sign_tie() {
     assert!(head0 == 0.0 && head0.is_sign_negative(), "head 0 must cost -0.0, got {head0:e}");
 
     let (moves, _) = solve_checked(&game, &initial);
-    assert_eq!(moves[..2], [(1, 1), (0, 0)]);
+    assert_eq!(moves, [(1, 1), (0, 0)]);
 }
 
 /// NaN and ∞ heads: two blockers overflow head 0's load to ∞, and player
 /// 0's weight there times the resource weight underflows to 0, so head 0
-/// costs `0·∞ = NaN` ahead of heads that fall below the minimum. Warm
+/// costs `0·∞ = NaN` ahead of a head that falls below the minimum. Warm
 /// rounds then raise head 0's resource weight (NaN → ∞, which forces a
 /// rescan) and lower it again (∞ → NaN, which leaves the cache as it is).
 /// Neither form may ever pick the NaN or ∞ head.
